@@ -823,12 +823,14 @@ func e13Workload() error {
 	}
 
 	// Parallelism sweeps. CertainMerges on the full workload spec walks
-	// the complete solution space (the general Pi^p_2 path), which is
-	// exponential in the dirty-duplicate count, so the exact sweep runs
-	// at a scale where full enumeration terminates; the scale-40
+	// the complete solution space (the general Pi^p_2 path) unless the
+	// all-rules closure is consistent, in which case it is answered from
+	// the closure without search and the rows print the merge count.
+	// Enumeration is exponential in the dirty-duplicate count, so the
+	// exact sweep runs at a scale where it terminates; the scale-40
 	// instance is swept under a fixed MaxStates budget instead — every
-	// engine explores the same number of states, making the rows a pure
-	// search-throughput comparison.
+	// searching engine explores the same number of states, making the
+	// rows a pure search-throughput comparison.
 	exactScale := 12
 	if *quick {
 		exactScale = 8
@@ -870,11 +872,12 @@ func e13ParSweep(label string, scale, maxStates int) error {
 			return err
 		}
 		var cm []eqrel.Pair
+		exhausted := false
 		dt, err := timeIt(func() error {
 			var err error
 			cm, err = eng.CertainMerges()
 			if maxStates > 0 && errors.Is(err, core.ErrBudget) {
-				err = nil
+				exhausted, err = true, nil
 			}
 			return err
 		})
@@ -885,7 +888,7 @@ func e13ParSweep(label string, scale, maxStates int) error {
 			baseline = dt
 		}
 		result := fmt.Sprintf("%d", len(cm))
-		if maxStates > 0 {
+		if exhausted {
 			result = "(budget)"
 		}
 		fmt.Printf("%-10d %-14v %-10.2f %s\n", p, dt.Round(time.Millisecond),
@@ -1020,6 +1023,7 @@ func e17Shards() error {
 
 	fmt.Printf("%-9s %-8s %-8s %-7s %-9s %-9s %-7s %-7s %-11s %-8s %s\n",
 		"entities", "facts", "shards", "rounds", "solves", "p50/p99", "largest", "frac", "time", "F1", "peak RSS")
+	var firstPM []eqrel.Pair // possible merges of the smallest size
 	for _, n := range sizes {
 		ds, err := workload.GenerateScale(workload.DefaultScaleConfig(seedOr(20), n))
 		if err != nil {
@@ -1065,16 +1069,19 @@ func e17Shards() error {
 			fmt.Sprintf("%d(+%dr)", st.Solves, st.Reused),
 			fmt.Sprintf("%d/%d", p50, p99), largest, frac,
 			dt.Round(time.Millisecond), q.F1, peakRSS())
-		_ = pm
+		if firstPM == nil {
+			firstPM = pm
+		}
 	}
 	fmt.Println("peak RSS is the process high-water mark (VmHWM): monotone across the sweep,")
 	fmt.Println("so each row bounds the memory of its own run from above.")
 
 	// Monolithic baseline at the smallest size, after the sweep so its
-	// heap does not inflate the rows' RSS column. The full
-	// solution-space enumeration is exponential in the total duplicate
-	// count, so it cannot terminate even at n=10^3; run it under a
-	// state budget and report the exhaustion honestly.
+	// heap does not inflate the rows' RSS column. It runs under a state
+	// budget: full solution-space enumeration is exponential in the total
+	// duplicate count and cannot terminate even at n=10^3, but when the
+	// instance's all-rules closure satisfies the denial constraints the
+	// engine answers from the closure without search and finishes.
 	monoBudget := 5_000
 	if *quick {
 		monoBudget = 1_000
@@ -1088,23 +1095,30 @@ func e17Shards() error {
 	if err != nil {
 		return err
 	}
+	var monoPM []eqrel.Pair
+	exhausted := false
 	monoTime, err := timeIt(func() error {
-		_, err := mono.PossibleMerges()
+		var err error
+		monoPM, err = mono.PossibleMerges()
 		if errors.Is(err, core.ErrBudget) {
+			exhausted = true
 			return nil
-		}
-		if err == nil {
-			return fmt.Errorf("monolithic enumeration unexpectedly finished")
 		}
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nmonolithic baseline, n=%d: budget of %d search states exhausted after %v\n",
-		sizes[0], monoBudget, monoTime.Round(time.Millisecond))
-	fmt.Println("shape: sharded wall-clock grows near-linearly in n — per-shard search cost is")
-	fmt.Println("bounded by the community structure, while monolithic enumeration never terminates.")
+	if exhausted {
+		fmt.Printf("\nmonolithic baseline, n=%d: budget of %d search states exhausted after %v\n",
+			sizes[0], monoBudget, monoTime.Round(time.Millisecond))
+		return nil
+	}
+	if fmt.Sprint(monoPM) != fmt.Sprint(firstPM) {
+		return fmt.Errorf("monolithic possible merges differ from the sharded ones at n=%d", sizes[0])
+	}
+	fmt.Printf("\nmonolithic baseline, n=%d: finished in %v; its %d possible merges equal the sharded ones\n",
+		sizes[0], monoTime.Round(time.Millisecond), len(monoPM))
 	return nil
 }
 

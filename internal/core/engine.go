@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -322,10 +323,15 @@ func (c *Context) activePairs(E *eqrel.Partition, rs []*rules.Rule) ([]Active, e
 // match that is new in D_{E'} must use a tuple of D_{E'} \ D_E, and
 // every such tuple contains the surviving representative of a merged
 // class (see DESIGN.md). accept must be stable under growth of E
-// (e.g. membership in a fixed target partition).
-func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
+// (e.g. membership in a fixed target partition). ctx is polled once
+// per round; a cancelled closure leaves E partially extended and
+// returns the wrapped context error.
+func (c *Context) closeFixpoint(ctx context.Context, E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
 	if len(rs) == 0 {
 		return nil
+	}
+	if err := canceled(ctx); err != nil {
+		return err
 	}
 	prepared := make([]*preparedQuery, len(rs))
 	for i, r := range rs {
@@ -366,6 +372,9 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 		if len(touched) == 0 {
 			break
 		}
+		if err := canceled(ctx); err != nil {
+			return err
+		}
 		dirty := make([]db.Const, 0, len(touched))
 		for cst := range touched {
 			dirty = append(dirty, cst)
@@ -391,14 +400,35 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 // fixpoint. Every solution containing E also contains the result, so the
 // search only branches on soft choices.
 func (c *Context) HardClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.spec.HardRules(), nil)
+	return c.hardClose(context.Background(), E)
+}
+
+// hardClose is HardClose with cancellation.
+func (c *Context) hardClose(ctx context.Context, E *eqrel.Partition) error {
+	return c.closeFixpoint(ctx, E, c.sess.spec.HardRules(), nil)
 }
 
 // AllClose extends E in place with every derivable merge (hard and
-// soft) until fixpoint; with Δ = ∅ the result is the unique maximal
-// solution (Theorem 9).
+// soft) until fixpoint. Started from the identity it yields the closure
+// bound U of closure.go: every solution is contained in it.
 func (c *Context) AllClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.spec.MergeRules(), nil)
+	return c.allClose(context.Background(), E)
+}
+
+// allClose is AllClose with cancellation.
+func (c *Context) allClose(ctx context.Context, E *eqrel.Partition) error {
+	return c.closeFixpoint(ctx, E, c.sess.spec.MergeRules(), nil)
+}
+
+// canceled returns the wrapped context error once ctx is done, so
+// callers can match limits.ErrCanceled uniformly across the native
+// search and the ASP pipeline (errors.Is(err, context.Canceled) still
+// holds via Unwrap). A nil ctx never cancels.
+func canceled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return limits.Wrap(ctx.Err())
 }
 
 // SatisfiesHard reports (D, E) |= Γh: every hard-rule answer pair is
@@ -470,7 +500,7 @@ func (c *Context) ViolatedDenials(E *eqrel.Partition) ([]string, error) {
 // semi-naive closure applies.
 func (c *Context) IsCandidate(E *eqrel.Partition) (bool, error) {
 	cur := c.Identity()
-	if err := c.closeFixpoint(cur, c.sess.spec.MergeRules(), E.Same); err != nil {
+	if err := c.closeFixpoint(context.Background(), cur, c.sess.spec.MergeRules(), E.Same); err != nil {
 		return false, err
 	}
 	return cur.Equal(E), nil

@@ -125,17 +125,17 @@ func (e *Engine) ExplainMergeCtx(ctx context.Context, a, b db.Const) (*MergeExpl
 		return x, nil
 	}
 	x.Status = Impossible
-	// Distinguish "never derivable" from "derivable but blocked": close
-	// under all rules ignoring denial constraints.
-	closure := e.Identity()
-	if err := e.AllClose(closure); err != nil {
+	// Distinguish "never derivable" from "derivable but blocked" on the
+	// all-rules closure, which ignores denial constraints.
+	cl, err := e.closure(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if !closure.Same(a, b) {
+	if !cl.U.Same(a, b) {
 		x.NeverDerivable = true
 		return x, nil
 	}
-	viol, err := e.ViolatedDenials(closure)
+	viol, err := e.ViolatedDenials(cl.U)
 	if err != nil {
 		return nil, err
 	}

@@ -10,18 +10,29 @@ import (
 )
 
 // IsPossibleMerge decides PossMerge (Theorem 5: NP-complete): whether
-// (a, b) belongs to some maximal solution. Since every solution extends
-// to a maximal one, it suffices to find any solution containing the
-// pair, so the search stops (and, under parallelism, cancels the other
-// workers) at the first hit.
+// (a, b) belongs to some maximal solution. Every solution lies within
+// the all-rules closure U, so a pair outside U is answered false with
+// no search, and a consistent U answers directly. Otherwise, since
+// every solution extends to a maximal one, it suffices to find any
+// solution containing the pair, so the search stops (and, under
+// parallelism, cancels the other workers) at the first hit.
 func (e *Engine) IsPossibleMerge(a, b db.Const) (bool, error) {
 	return e.IsPossibleMergeCtx(context.Background(), a, b)
 }
 
 // IsPossibleMergeCtx is IsPossibleMerge with cancellation.
 func (e *Engine) IsPossibleMergeCtx(ctx context.Context, a, b db.Const) (bool, error) {
+	bd, err := e.bounded(ctx)
+	if err != nil {
+		return false, err
+	}
+	if bd != nil && (bd.consistent || !bd.U.Same(a, b)) {
+		e.countPath(true)
+		return bd.U.Same(a, b), nil
+	}
+	e.countPath(false)
 	found := false
-	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
+	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
 		if E.Same(a, b) {
 			found = true
 			return true
@@ -57,18 +68,28 @@ func (e *Engine) IsCertainMergeCtx(ctx context.Context, a, b db.Const) (bool, er
 }
 
 // PossibleMerges returns possMerge(D, Σ): the union of the merge sets of
-// all maximal solutions, sorted. Maximal solutions have the same pair
-// union as all solutions, so plain solution enumeration suffices. The
-// output is a sorted set, so sequential and parallel runs return
-// identical results.
+// all maximal solutions, sorted. A consistent all-rules closure is the
+// unique maximal solution and answers directly. Otherwise, maximal
+// solutions have the same pair union as all solutions, so plain
+// solution enumeration suffices. The output is a sorted set, so
+// sequential and parallel runs return identical results.
 func (e *Engine) PossibleMerges() ([]eqrel.Pair, error) {
 	return e.PossibleMergesCtx(context.Background())
 }
 
 // PossibleMergesCtx is PossibleMerges with cancellation.
 func (e *Engine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
+	b, err := e.bounded(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if b != nil && b.consistent {
+		e.countPath(true)
+		return b.U.Pairs(), nil
+	}
+	e.countPath(false)
 	seen := make(map[eqrel.Pair]bool)
-	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
+	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
 		for _, p := range E.Pairs() {
 			seen[p] = true
 		}
@@ -170,18 +191,36 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 }
 
 // IsPossibleAnswer decides PossAnswer (Theorem 7: NP-complete): whether
-// ā ∈ q(D, E) for some maximal solution E. Query answers are preserved
-// under extension of E (queries are homomorphism-preserved), so any
-// solution witnesses possibility.
+// ā ∈ q(D, E) for some maximal solution E. A consistent all-rules
+// closure U is the unique maximal solution and answers directly; a
+// purely relational query whose tuple is no answer on U is no answer on
+// any solution. Otherwise, query answers are preserved under extension
+// of E (queries are homomorphism-preserved), so any solution witnesses
+// possibility.
 func (e *Engine) IsPossibleAnswer(q *cq.CQ, tuple []db.Const) (bool, error) {
 	return e.IsPossibleAnswerCtx(context.Background(), q, tuple)
 }
 
 // IsPossibleAnswerCtx is IsPossibleAnswer with cancellation.
 func (e *Engine) IsPossibleAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.Const) (bool, error) {
+	b, err := e.bounded(ctx)
+	if err != nil {
+		return false, err
+	}
+	if b != nil {
+		onU, err := e.HoldsIn(q, tuple, b.U)
+		if err != nil {
+			return false, err
+		}
+		if b.consistent || (!onU && relational(q)) {
+			e.countPath(true)
+			return onU, nil
+		}
+	}
+	e.countPath(false)
 	found := false
 	var inner error
-	err := e.SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
+	err = e.SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
 		ok, herr := e.HoldsIn(q, tuple, E)
 		if herr != nil {
 			inner = herr

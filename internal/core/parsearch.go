@@ -77,7 +77,7 @@ func (e *Engine) parSolutions(ctx context.Context, start *eqrel.Partition, visit
 	// Root state: hard-close on the caller's context, then freeze its
 	// induced database so the workers can share it.
 	root := start.Clone()
-	if err := e.HardClose(root); err != nil {
+	if err := e.hardClose(ctx, root); err != nil {
 		sp.End()
 		return err
 	}

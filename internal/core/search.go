@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/eqrel"
-	"repro/internal/limits"
 	"repro/internal/obs"
 )
 
@@ -45,7 +44,7 @@ func (e *Engine) newSearcher(ctx context.Context, visit func(*eqrel.Partition) (
 // the state budget is exhausted (results so far are incomplete).
 func (s *searcher) run(start *eqrel.Partition) error {
 	root := start.Clone()
-	if err := s.c.HardClose(root); err != nil {
+	if err := s.c.hardClose(s.ctx, root); err != nil {
 		return err
 	}
 	_, err := s.rec(root)
@@ -53,13 +52,8 @@ func (s *searcher) run(start *eqrel.Partition) error {
 }
 
 func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			// Wrapped so callers can match limits.ErrCanceled uniformly
-			// across the native search and the ASP pipeline;
-			// errors.Is(err, context.Canceled) still holds via Unwrap.
-			return true, limits.Wrap(err)
-		}
+	if err := canceled(s.ctx); err != nil {
+		return true, err
 	}
 	key := E.Key()
 	if s.visited[key] {
@@ -99,7 +93,7 @@ func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
 		u, v := E.Rep(a.Pair.A), E.Rep(a.Pair.B)
 		child.Add(a.Pair)
 		s.c.seedInduced(E, child, u, v)
-		if err := s.c.HardClose(child); err != nil {
+		if err := s.c.hardClose(s.ctx, child); err != nil {
 			return true, err
 		}
 		if stop, err := s.rec(child); stop || err != nil {
@@ -196,12 +190,14 @@ func (e *Engine) existenceRestricted() (*eqrel.Partition, bool, error) {
 }
 
 // MaximalSolutions returns all ⊆-maximal solutions, ordered by
-// canonical partition key. For the tractable classes of Theorem 9 (no
-// soft rules, or no denial constraints) the unique maximal solution is
-// computed directly; otherwise the solution space is enumerated —
-// in parallel when Options.Parallelism > 1 — and filtered to its
-// maximal antichain. The antichain is a set, so sequential and parallel
-// runs return identical output.
+// canonical partition key. When the all-rules closure U satisfies the
+// denial constraints it is the unique maximal solution (closure.go) and
+// is returned without search; this covers both tractable classes of
+// Theorem 9 (Δ = ∅, and Γs = ∅ where U is the hard closure). Otherwise
+// the solution space is enumerated — in parallel when
+// Options.Parallelism > 1 — and filtered to its maximal antichain. The
+// antichain is a set, so sequential and parallel runs return identical
+// output.
 func (e *Engine) MaximalSolutions() ([]*eqrel.Partition, error) {
 	return e.MaximalSolutionsCtx(context.Background())
 }
@@ -210,14 +206,19 @@ func (e *Engine) MaximalSolutions() ([]*eqrel.Partition, error) {
 func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
 	sp := e.rec.Start(obs.SpanCoreMaxSol)
 	defer sp.End()
-	if sol, ok, err, done := e.uniqueMaximal(); done {
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []*eqrel.Partition{sol}, nil
+	b, err := e.bounded(ctx)
+	if err != nil {
+		return nil, err
 	}
+	if b != nil && b.consistent {
+		sp.AttrStr("path", "closure")
+		e.countPath(true)
+		return []*eqrel.Partition{b.U.Clone()}, nil
+	}
+	sp.AttrStr("path", "search")
+	e.countPath(false)
 	var maximal []*eqrel.Partition
-	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
+	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
 		for i := 0; i < len(maximal); i++ {
 			if E.Subset(maximal[i]) {
 				return false // dominated
@@ -245,41 +246,24 @@ func sortPartitions(ps []*eqrel.Partition) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Key() < ps[j].Key() })
 }
 
-// uniqueMaximal handles the Theorem 9 fragments. done is false when the
-// specification is not in a tractable class.
-func (e *Engine) uniqueMaximal() (sol *eqrel.Partition, ok bool, err error, done bool) {
-	switch {
-	case e.sess.spec.IsHardOnly():
-		// Γs = ∅: the hard closure of the identity is the unique
-		// solution candidate; it is a solution iff consistent.
-		h := e.Identity()
-		if err := e.HardClose(h); err != nil {
-			return nil, false, err, true
-		}
-		cons, err := e.SatisfiesDenials(h)
-		if err != nil {
-			return nil, false, err, true
-		}
-		return h, cons, nil, true
-	case e.sess.spec.IsDenialFree():
-		// Δ = ∅: the closure under all rules is the unique maximal
-		// solution and always exists.
-		h := e.Identity()
-		if err := e.AllClose(h); err != nil {
-			return nil, false, err, true
-		}
-		return h, true, nil, true
-	}
-	return nil, false, nil, false
-}
-
 // IsMaximalSolution decides MaxRec (Theorem 3: coNP-complete in
-// general; Theorem 8: polynomial for restricted specifications).
+// general; Theorem 8: polynomial for restricted specifications). When
+// the all-rules closure U is consistent, E is maximal iff it is a
+// solution equal to U.
 func (e *Engine) IsMaximalSolution(E *eqrel.Partition) (bool, error) {
 	isSol, err := e.IsSolution(E)
 	if err != nil || !isSol {
 		return false, err
 	}
+	b, err := e.bounded(context.Background())
+	if err != nil {
+		return false, err
+	}
+	if b != nil && b.consistent {
+		e.countPath(true)
+		return E.Equal(b.U), nil
+	}
+	e.countPath(false)
 	act, err := e.ActivePairs(E)
 	if err != nil {
 		return false, err

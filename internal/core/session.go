@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -15,10 +16,11 @@ import (
 // Session is the immutable, share-everything half of the solver: the
 // database, the validated specification, the similarity registry, the
 // normalized options and the prepared query plans, built once by New
-// and read-only afterwards. Any number of goroutines may read a
-// Session concurrently; all mutable evaluation state (induced-database
-// cache, similarity memo tier, counter buffers) lives in per-worker
-// Contexts.
+// and read-only afterwards — apart from the closure bound, computed on
+// first use and then shared read-only. Any number of goroutines may
+// read a Session concurrently; all mutable evaluation state
+// (induced-database cache, similarity memo tier, counter buffers) lives
+// in per-worker Contexts.
 type Session struct {
 	d    *db.Database
 	spec *rules.Spec
@@ -40,6 +42,13 @@ type Session struct {
 	// phase starts (eager column indexes, immutable tables), making it
 	// safe for concurrent readers. Sequential runs never pay for this.
 	freezeOnce sync.Once
+
+	// bound caches the all-rules closure and its denial verdict (see
+	// closure.go); nil until the first completed computation.
+	bound atomic.Pointer[closureBound]
+	// enumerateOnly makes the maximal-solution queries ignore bound and
+	// enumerate. Only tests set it, to referee the closure path.
+	enumerateOnly bool
 }
 
 // normalizeOptions resolves the zero values of Options to their

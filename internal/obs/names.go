@@ -18,6 +18,12 @@ const (
 	// CoreSearchTasks counts tasks processed by parallel-search workers
 	// (zero on sequential runs).
 	CoreSearchTasks = "core.search.tasks"
+	// CoreMaxSolClosure counts maximal-solution queries answered by the
+	// all-rules closure bound (the closure is consistent, or it rules
+	// the pair or answer out); CoreMaxSolEnumerated counts those that
+	// fell back to enumerating the solution space.
+	CoreMaxSolClosure    = "core.maxsol.closure"
+	CoreMaxSolEnumerated = "core.maxsol.enumerated"
 	// CoreCacheHits / CoreCacheMisses / CoreCacheEvictions expose the
 	// induced-database cache: the cache is LRU, so each eviction drops
 	// exactly one entry (the least recently used).
@@ -236,7 +242,7 @@ const (
 func CanonicalCounters() []string {
 	return []string{
 		CoreSearchStates, CoreSearchSolutions, CoreSearchBudget,
-		CoreSearchTasks,
+		CoreSearchTasks, CoreMaxSolClosure, CoreMaxSolEnumerated,
 		CoreCacheHits, CoreCacheMisses, CoreCacheEvictions,
 		CorePlanCacheHits, CorePlanCacheMisses,
 		CoreFixpointDeltaRounds, DBInducedIncremental,

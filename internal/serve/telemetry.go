@@ -237,10 +237,13 @@ func (s *Server) auditDrop(n int64, err error) {
 // auditMerges records the merge decisions of one merges/{certain,
 // possible} response. Certain merges are justified against one witness
 // solution (they belong to every maximal solution, so any solution
-// works); possible merges are justified against the enumerated solution
-// that first contains them. Best-effort by design: an audit failure
-// never fails the request, and the response is already fully built —
-// but every record lost to a write error is counted as dropped.
+// works). Possible merges are justified against the session's all-rules
+// closure when it is consistent (it is then the unique maximal
+// solution and holds every possible pair); otherwise against the
+// enumerated solution that first contains them. Best-effort by design:
+// an audit failure never fails the request, and the response is already
+// fully built — but every record lost to a write error is counted as
+// dropped.
 func (s *Server) auditMerges(ctx context.Context, eng *core.Engine, in *db.Interner,
 	meta *reqMeta, decision string, pairs []eqrel.Pair) {
 
@@ -254,6 +257,12 @@ func (s *Server) auditMerges(ctx context.Context, eng *core.Engine, in *db.Inter
 				if j, err := eng.Justify(E, p.A, p.B); err == nil {
 					just[p] = j
 				}
+			}
+		}
+	} else if U, ok, err := eng.ClosureBound(ctx); err == nil && ok {
+		for _, p := range pairs {
+			if j, err := eng.Justify(U, p.A, p.B); err == nil {
+				just[p] = j
 			}
 		}
 	} else {

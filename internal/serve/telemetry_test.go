@@ -255,7 +255,19 @@ func TestAuditLogRecordsAndVerifies(t *testing.T) {
 // names) leaves endpoint response bodies byte-identical to a bare
 // server.
 func TestTelemetryDifferential(t *testing.T) {
-	in1, in2 := loadFig1(t), loadFig1(t)
+	t.Run("figure1", func(t *testing.T) {
+		telemetryDifferential(t, loadFig1(t), loadFig1(t), "a1", "a2")
+	})
+	// The workload instance's closure is consistent, so its merges
+	// audit justifies against the closure instead of enumerating.
+	t.Run("workload", func(t *testing.T) {
+		telemetryDifferential(t, loadWorkload(t), loadWorkload(t), "a0", "a0_d")
+	})
+}
+
+// telemetryDifferential runs the byte-identity check over two parses of
+// one instance; a and b name a pair of references to explain.
+func telemetryDifferential(t *testing.T, in1, in2 instance, a, b string) {
 	_, bare := newTestServer(t, in1, nil)
 
 	reg := obs.NewRegistry()
@@ -276,8 +288,8 @@ func TestTelemetryDifferential(t *testing.T) {
 		{"/v1/merges/possible", nil},
 		{"/v1/solutions/maximal", nil},
 		{"/v1/merges/certain", nil}, // cache hit on both
-		{"/v1/explain", ExplainRequest{A: "a1", B: "a2"}},
-		{"/v1/explain", ExplainRequest{A: "a1", B: "zzz"}}, // 400 on both
+		{"/v1/explain", ExplainRequest{A: a, B: b}},
+		{"/v1/explain", ExplainRequest{A: a, B: "zzz"}}, // 400 on both
 		{"/healthz", nil},
 	}
 	for _, rq := range requests {
