@@ -45,20 +45,17 @@ type Options struct {
 	// problems are NP- or Π^p_2-hard (Table 1), so a budget guards
 	// against pathological instances.
 	MaxStates int
-	// MaxSolutions, when positive, stops enumeration after that many
-	// solutions have been visited. It implies sequential search: the
-	// truncation is defined by the sequential visit order.
-	MaxSolutions int
 	// CacheSize bounds the induced-database cache in entries; 0 means
 	// DefaultCacheSize. When full, the least recently used entry is
 	// evicted. Parallel workers split this budget between them.
 	CacheSize int
 	// Parallelism sets the number of workers used by the solution-space
-	// searches (MaximalSolutions, Existence, merge sets) and the greedy
-	// pass. 0 means runtime.GOMAXPROCS(0); 1 forces the sequential
-	// searcher, which preserves the exact sequential visit order and
-	// counter values. Set outputs are canonically ordered, so parallel
-	// and sequential runs return identical results.
+	// searches (Existence, MaximalSolutions, MaxRec, the merge sets and
+	// PossAnswer) and by concurrent shard solves. 0 means
+	// runtime.GOMAXPROCS(0); 1 runs the search inline in the caller's
+	// goroutine in sequential depth-first order. Set outputs are
+	// canonically ordered, so every worker count returns identical
+	// results.
 	Parallelism int
 	// Recorder receives the engine's instrumentation events (search
 	// states, cache behaviour, query evaluations, justifications). Nil
@@ -151,13 +148,6 @@ func (e *Engine) Recorder() obs.Recorder { return e.rec }
 // built without Options.Recorder use the no-op recorder and return an
 // empty snapshot; pass an *obs.Registry to collect live statistics.
 func (e *Engine) Stats() obs.Snapshot { return e.rec.Snapshot() }
-
-// parallelEnabled reports whether solution-space searches should use
-// the parallel work-queue. MaxSolutions implies sequential order, so it
-// disables parallelism.
-func (e *Engine) parallelEnabled() bool {
-	return e.sess.opts.Parallelism > 1 && e.sess.opts.MaxSolutions == 0
-}
 
 // Identity returns the trivial equivalence relation EqRel(∅, D) sized to
 // the engine's constant domain.

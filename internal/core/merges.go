@@ -14,8 +14,7 @@ import (
 // the all-rules closure U, so a pair outside U is answered false with
 // no search, and a consistent U answers directly. Otherwise, since
 // every solution extends to a maximal one, it suffices to find any
-// solution containing the pair, so the search stops (and, under
-// parallelism, cancels the other workers) at the first hit.
+// solution containing the pair, so the search stops at the first hit.
 func (e *Engine) IsPossibleMerge(a, b db.Const) (bool, error) {
 	return e.IsPossibleMergeCtx(context.Background(), a, b)
 }
@@ -31,15 +30,8 @@ func (e *Engine) IsPossibleMergeCtx(ctx context.Context, a, b db.Const) (bool, e
 		return bd.U.Same(a, b), nil
 	}
 	e.countPath(false)
-	found := false
-	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
-		if E.Same(a, b) {
-			found = true
-			return true
-		}
-		return false
-	})
-	return found, err
+	found, err := e.findSolution(ctx, e.Identity(), func(E *eqrel.Partition) bool { return E.Same(a, b) })
+	return found != nil, err
 }
 
 // IsCertainMerge decides CertMerge (Theorem 4: Π^p_2-complete): whether
@@ -89,7 +81,7 @@ func (e *Engine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	}
 	e.countPath(false)
 	seen := make(map[eqrel.Pair]bool)
-	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
+	err = e.search(ctx, e.Identity(), e.sess.opts.Parallelism, func(E *eqrel.Partition) bool {
 		for _, p := range E.Pairs() {
 			seen[p] = true
 		}
@@ -196,7 +188,8 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 // purely relational query whose tuple is no answer on U is no answer on
 // any solution. Otherwise, query answers are preserved under extension
 // of E (queries are homomorphism-preserved), so any solution witnesses
-// possibility.
+// possibility and the search stops at the first hit, like
+// IsPossibleMerge.
 func (e *Engine) IsPossibleAnswer(q *cq.CQ, tuple []db.Const) (bool, error) {
 	return e.IsPossibleAnswerCtx(context.Background(), q, tuple)
 }
@@ -218,24 +211,22 @@ func (e *Engine) IsPossibleAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.C
 		}
 	}
 	e.countPath(false)
-	found := false
+	// The visitor evaluates on the engine's own Context: with several
+	// workers visits run on worker goroutines, but serialized, while the
+	// caller's goroutine waits for the search.
 	var inner error
-	err = e.SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
+	found, err := e.findSolution(ctx, e.Identity(), func(E *eqrel.Partition) bool {
 		ok, herr := e.HoldsIn(q, tuple, E)
 		if herr != nil {
 			inner = herr
 			return true
 		}
-		if ok {
-			found = true
-			return true
-		}
-		return false
+		return ok
 	})
 	if inner != nil {
 		return false, inner
 	}
-	return found, err
+	return found != nil, err
 }
 
 // IsCertainAnswer decides CertAnswer (Theorem 6: Π^p_2-complete):

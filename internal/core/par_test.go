@@ -6,15 +6,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/eqrel"
 )
 
 // TestParallelMatchesSequential is the differential gate for the
 // parallel searcher: over randomized seeded instances, the parallel
 // engine must return byte-identical MaximalSolutions, CertainMerges and
-// PossibleMerges (and the same Existence verdict) as the sequential
-// one. Run under -race this also exercises the Session/Context
-// concurrency contract.
+// PossibleMerges (and the same Existence and IsPossibleAnswer verdicts)
+// as the sequential one. Run under -race this also exercises the
+// Session/Context concurrency contract.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for trial := 0; trial < 40; trial++ {
@@ -71,6 +72,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("trial %d: PossibleMerges differ: seq %v, par %v", trial, seqPoss, parPoss)
 		}
 
+		cs := constsNamed(d, "c0", "c1", "c2", "c3", "c4")
+		for _, q := range mustQueries(t, d, reg, `(x, y) : R(x, y)`, `(x) : S(x, v), R(v, w)`) {
+			for _, a := range cs {
+				for _, b := range cs {
+					tuple := []db.Const{a, b}[:len(q.Head)]
+					seqAns, err := seq.IsPossibleAnswer(q, tuple)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parAns, err := par.IsPossibleAnswer(q, tuple)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if seqAns != parAns {
+						t.Fatalf("trial %d: IsPossibleAnswer(%v, %v) = %v sequentially, %v in parallel",
+							trial, q, tuple, seqAns, parAns)
+					}
+				}
+			}
+		}
+
 		_, seqOK, err := seq.Existence()
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +127,55 @@ func samePairs(a, b []eqrel.Pair) bool {
 		}
 	}
 	return true
+}
+
+// TestParallelFirstHitNoSpuriousError: a first-hit search stops by
+// cancelling its own run, which child closures in flight on other
+// workers observe. That cancellation must not surface as an error:
+// IsPossibleMerge and Existence return a nil error and the sequential
+// verdict. The instances have inconsistent closures, so every pair of
+// the closure is decided by search.
+func TestParallelFirstHitNoSpuriousError(t *testing.T) {
+	rng := rand.New(rand.NewSource(1303))
+	for trial := 0; trial < 60; trial++ {
+		d, spec, reg := inconsistentInstance(t, rng)
+		seq, err := New(d, spec, reg, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := New(d, spec, reg, Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		U, _, err := seq.ClosureBound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range U.Pairs() {
+			seqOK, err := seq.IsPossibleMerge(p.A, p.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parOK, err := par.IsPossibleMerge(p.A, p.B)
+			if err != nil {
+				t.Fatalf("trial %d: parallel IsPossibleMerge%v: %v", trial, p, err)
+			}
+			if seqOK != parOK {
+				t.Fatalf("trial %d: IsPossibleMerge%v = %v sequentially, %v in parallel", trial, p, seqOK, parOK)
+			}
+		}
+		_, seqOK, err := seq.Existence()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, parOK, err := par.Existence()
+		if err != nil {
+			t.Fatalf("trial %d: parallel Existence: %v", trial, err)
+		}
+		if seqOK != parOK {
+			t.Fatalf("trial %d: Existence = %v sequentially, %v in parallel", trial, seqOK, parOK)
+		}
+	}
 }
 
 // TestParallelBudget: the parallel searcher honors Options.MaxStates

@@ -176,9 +176,6 @@ func (s *Session) freezeShared() {
 	s.freezeOnce.Do(func() { s.d.Freeze() })
 }
 
-// workers returns the resolved worker count for parallel phases.
-func (s *Session) workers() int { return s.opts.Parallelism }
-
 // newWorkerContext returns a fresh per-worker evaluation context: a
 // slice of the configured induced-DB cache budget and a fork of the
 // similarity registry (fresh unsynchronized memo tier over the shared

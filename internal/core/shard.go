@@ -155,13 +155,8 @@ type ShardedEngine struct {
 
 // NewSharded builds a sharded engine over (d, spec, sims). The core
 // Options apply per shard (MaxStates bounds each shard's search;
-// Parallelism bounds concurrent shard solves). MaxSolutions is
-// incompatible with sharding — truncated enumeration has no meaning
-// across independent components — and is rejected.
+// Parallelism bounds concurrent shard solves).
 func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*ShardedEngine, error) {
-	if opts.MaxSolutions > 0 {
-		return nil, fmt.Errorf("core: ShardedEngine does not support Options.MaxSolutions")
-	}
 	eng, err := New(d, spec, sims, opts)
 	if err != nil {
 		return nil, err
@@ -822,7 +817,7 @@ func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, e
 		}
 	}
 	se.eng.sess.freezeShared()
-	workers := se.eng.sess.workers()
+	workers := se.eng.sess.opts.Parallelism
 	if workers > len(toSolve) {
 		workers = len(toSolve)
 	}
@@ -830,7 +825,7 @@ func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, e
 	if len(toSolve) == 1 {
 		// A single dirty shard may use the full configured parallelism
 		// inside its own search.
-		inner = se.eng.sess.workers()
+		inner = se.eng.sess.opts.Parallelism
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -15,9 +15,6 @@ const (
 	CoreSearchSolutions = "core.search.solutions"
 	// CoreSearchBudget counts searches aborted by Options.MaxStates.
 	CoreSearchBudget = "core.search.budget_exhausted"
-	// CoreSearchTasks counts tasks processed by parallel-search workers
-	// (zero on sequential runs).
-	CoreSearchTasks = "core.search.tasks"
 	// CoreMaxSolClosure counts maximal-solution queries answered by the
 	// all-rules closure bound (the closure is consistent, or it rules
 	// the pair or answer out); CoreMaxSolEnumerated counts those that
@@ -125,7 +122,7 @@ const (
 // Gauges (sizes of the most recent construction).
 const (
 	// CoreSearchWorkers records the worker count of the most recent
-	// parallel solution search (1 for sequential runs).
+	// solution search (1 for one-worker runs, including Solutions).
 	CoreSearchWorkers = "core.search.workers"
 	// CoreShardCount / CoreShardRounds / CoreShardLargest describe the
 	// most recent sharded resolution: nontrivial similarity components
@@ -242,7 +239,7 @@ const (
 func CanonicalCounters() []string {
 	return []string{
 		CoreSearchStates, CoreSearchSolutions, CoreSearchBudget,
-		CoreSearchTasks, CoreMaxSolClosure, CoreMaxSolEnumerated,
+		CoreMaxSolClosure, CoreMaxSolEnumerated,
 		CoreCacheHits, CoreCacheMisses, CoreCacheEvictions,
 		CorePlanCacheHits, CorePlanCacheMisses,
 		CoreFixpointDeltaRounds, DBInducedIncremental,

@@ -57,7 +57,7 @@ type Config struct {
 	Workers int
 	// Parallelism is passed to core.Options: the fan-out of the
 	// solution-space search inside one request. 0 means GOMAXPROCS,
-	// 1 forces the sequential searcher.
+	// 1 runs the search inline in sequential order.
 	Parallelism int
 	// MaxStates is the per-request search-state budget (core
 	// Options.MaxStates); a request that exhausts it gets a 413

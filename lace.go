@@ -96,10 +96,12 @@ type (
 	Engine = core.Engine
 	// Options tunes solution search budgets and parallelism. Set
 	// Parallelism > 1 to fan the solution-space search of Existence,
-	// MaximalSolutions and Certain/PossibleMerges out over that many
-	// workers (0 = GOMAXPROCS); results are identical to the sequential
-	// search. Context-accepting variants (ExistenceCtx,
-	// MaximalSolutionsCtx, ...) support early cancellation.
+	// MaximalSolutions, Certain/PossibleMerges, IsPossibleMerge and
+	// IsPossibleAnswer out over that many workers (0 = GOMAXPROCS);
+	// results are identical for every worker count. Solutions always
+	// runs on one worker, in sequential depth-first order.
+	// Context-accepting variants (ExistenceCtx, MaximalSolutionsCtx,
+	// ...) support early cancellation.
 	Options = core.Options
 	// Justification is a Definition-4 derivation of a merge.
 	Justification = core.Justification
